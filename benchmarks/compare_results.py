@@ -68,6 +68,8 @@ TRACKED_METRICS: list[tuple[str, tuple[str, ...], str]] = [
     # ratios, machine-portable).
     ("pruning.json", ("pruned_candidate_fraction",), "higher"),
     ("pruning.json", ("pruned_search_time_ratio",), "lower"),
+    # overhead.json (§VII-B policy/env/episode seconds per sample) is
+    # deliberately untracked: absolute wall-clock, not machine-portable.
 ]
 
 

@@ -498,7 +498,8 @@ class ScheduleCostEvaluator:
     ``run_baseline`` per function — pass the search's caching executor
     to make it a cache hit), and per-op schedule blocks are memoized by
     state tuple, since beam expansions differ from their parent in one
-    op only.
+    op only.  Memoized blocks are rows of one table, so a batch's
+    schedule blocks are gathered with one indexing operation.
     """
 
     def __init__(
@@ -516,18 +517,25 @@ class ScheduleCostEvaluator:
             MAX_OPS * PROGRAM_OP_FEATURES
         )
         self._prefix_memo: dict[int, np.ndarray] = {}
-        self._block_memo: dict[tuple | None, np.ndarray] = {
-            None: np.asarray(_schedule_op_block(None), dtype=np.float32)
-        }
+        #: op schedule state -> row of ``_block_table`` holding its
+        #: block; row 0 is the never-scheduled (None) block.
+        self._block_rows: dict[tuple | None, int] = {None: 0}
+        self._block_table = np.empty(
+            (1024, SCHEDULE_OP_FEATURES), dtype=np.float32
+        )
+        self._block_table[0] = _schedule_op_block(None)
 
-    def _op_block(self, op_state: tuple | None) -> np.ndarray:
-        block = self._block_memo.get(op_state)
-        if block is None:
-            block = np.asarray(
-                _schedule_op_block(op_state), dtype=np.float32
-            )
-            self._block_memo[op_state] = block
-        return block
+    def _block_row(self, op_state: tuple | None) -> int:
+        row = self._block_rows.get(op_state)
+        if row is None:
+            row = len(self._block_rows)
+            if row == len(self._block_table):
+                self._block_table = np.concatenate(
+                    [self._block_table, np.empty_like(self._block_table)]
+                )
+            self._block_table[row] = _schedule_op_block(op_state)
+            self._block_rows[op_state] = row
+        return row
 
     def _prefix(self, scheduled: ScheduledFunction) -> np.ndarray | None:
         fingerprint = func_fingerprint(scheduled.func)
@@ -551,33 +559,47 @@ class ScheduleCostEvaluator:
         """Predicted whole-function seconds per candidate (None when the
         candidate cannot be keyed/featurized)."""
         scores: list[float | None] = [None] * len(candidates)
-        batch = np.empty((len(candidates), FEATURE_SIZE), dtype=np.float32)
-        filled = 0
+        prefixes: list[np.ndarray] = []
+        # MAX_OPS block rows per candidate, flat: per-candidate lists
+        # would be container allocations that outlive the loop, and
+        # enough of them trigger a garbage collection mid-scoring.
+        rows: list[int] = []
         positions: list[int] = []
+        block_row = self._block_row
+        padding = [0] * MAX_OPS
+        # Candidates of one expansion share their function: its prefix
+        # is looked up once per run of equal functions.
+        last_func = None
+        prefix: np.ndarray | None = None
         for index, scheduled in enumerate(candidates):
             state = keys[index] if keys is not None else None
             if state is None:
                 state = scheduled.schedule_key()
-            prefix = self._prefix(scheduled) if state is not None else None
+            if state is None:
+                self.stats.fallbacks += 1
+                continue
+            if scheduled.func is not last_func:
+                last_func = scheduled.func
+                prefix = self._prefix(scheduled)
             if prefix is None:
                 self.stats.fallbacks += 1
                 continue
-            np.concatenate(
-                [prefix]
-                + [
-                    self._op_block(state[op] if op < len(state) else None)
-                    for op in range(MAX_OPS)
-                ],
-                out=batch[filled],
-            )
-            filled += 1
+            rows += [block_row(op_state) for op_state in state[:MAX_OPS]]
+            if len(state) < MAX_OPS:
+                rows += padding[len(state) :]
+            prefixes.append(prefix)
             positions.append(index)
-        if filled:
-            predictions = self.model.predict_seconds(batch[:filled])
+        if positions:
+            batch = np.empty((len(positions), FEATURE_SIZE), dtype=np.float32)
+            batch[:, : self._static_size] = prefixes
+            batch[:, self._static_size :] = self._block_table[rows].reshape(
+                len(positions), -1
+            )
+            predictions = self.model.predict_seconds(batch)
             for position, seconds in zip(positions, predictions):
                 scores[position] = float(seconds)
             self.stats.batches += 1
-            self.stats.scored += filled
+            self.stats.scored += len(positions)
         return scores
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blas import single_threaded_blas
 from .layers import MLP, Module
 from .optim import Adam, clip_grad_norm
 from .tensor import Tensor
@@ -67,21 +68,17 @@ class CostModel(Module):
         """Pure-numpy forward: raw features → predicted log(seconds).
 
         Runs in float32 (inputs come from the float32 feature pipeline;
-        prediction throughput is the point of the model) — training
-        stays float64 through the autograd path.
+        prediction throughput is the point of the model) and on one
+        BLAS thread (see :mod:`repro.nn.blas`) — training stays float64
+        through the autograd path.
         """
         x = (
             np.asarray(features, dtype=np.float32)
             - self.x_mean.astype(np.float32)
         ) / self.x_std.astype(np.float32)
-        layers = self.mlp.layers
-        for index, layer in enumerate(layers):
-            x = x @ layer.weight.data.astype(np.float32)
-            if layer.bias is not None:
-                x = x + layer.bias.data.astype(np.float32)
-            if index + 1 < len(layers):
-                x = np.maximum(x, 0.0, out=x)
-        return x[:, 0] * self.y_std + self.y_mean
+        with single_threaded_blas():
+            log_seconds = self.mlp.infer(x)
+        return log_seconds[:, 0] * self.y_std + self.y_mean
 
     def predict_seconds(self, features: np.ndarray) -> np.ndarray:
         # Clip before exp: an extrapolating early-training model must

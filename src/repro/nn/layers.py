@@ -4,12 +4,20 @@ Implements exactly what the paper's actor-critic networks need
 (Fig. 3/4): dense layers with ReLU, an LSTM cell for the
 producer-consumer embedding, and a module system with parameter
 collection for the optimizer.
+
+Each layer has two forwards: ``__call__`` builds the autograd graph that
+training backpropagates through, and ``infer`` computes the same
+numbers from the weight arrays in plain numpy, for acting and
+prediction.  ``infer`` runs in its input's dtype and repeats the
+autograd forward's operations in the same order (less the LSTM matmuls
+of all-zero inputs, see :meth:`LSTMCell.infer`), so on float64 input
+its output equals the autograd forward's ``.data`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,6 +101,12 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        out = x @ self.weight.data.astype(x.dtype, copy=False)
+        if self.bias is not None:
+            out += self.bias.data.astype(x.dtype, copy=False)
+        return out
+
 
 class MLP(Module):
     """A stack of Linear + ReLU layers (the paper's backbone: 3 x 512)."""
@@ -114,6 +128,13 @@ class MLP(Module):
             x = layer(x)
             if self.final_activation or index + 1 < len(self.layers):
                 x = x.relu()
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        for index, layer in enumerate(self.layers):
+            x = layer.infer(x)
+            if self.final_activation or index + 1 < len(self.layers):
+                np.maximum(x, 0.0, out=x)
         return x
 
 
@@ -148,6 +169,50 @@ class LSTMCell(Module):
         h_next = o * c_next.tanh()
         return h_next, c_next
 
+    def infer(
+        self,
+        x: np.ndarray,
+        state: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One step on plain arrays; ``state=None`` is the zero state.
+
+        From the zero state the recurrent matmul, and the input matmul
+        of an all-zero ``x`` (an absent producer), only add signed
+        zeros to the gate pre-activations.  The gates map -0 and +0 to
+        the same bits (sigmoid gives 0.5; a +-0 cell input enters
+        ``c`` as ``+0 + i*g``), so both are skipped and the outputs
+        stay bit-identical to the autograd cell for finite weights.
+        """
+        dtype = x.dtype
+        size = self.hidden_size
+        if state is None:
+            c = np.zeros((x.shape[0], size), dtype)
+            if x.any():
+                gates = x @ self.weight_ih.data.astype(dtype, copy=False)
+            else:
+                gates = np.zeros((x.shape[0], 4 * size), dtype)
+        else:
+            h, c = state
+            gates = x @ self.weight_ih.data.astype(dtype, copy=False)
+            gates += h @ self.weight_hh.data.astype(dtype, copy=False)
+        gates += self.bias.data.astype(dtype, copy=False)
+        # One elementwise sigmoid over all four blocks gives each gate
+        # the bits of its per-slice autograd sigmoid (the cell block's
+        # share is unused).
+        sigmoid = np.negative(gates)
+        np.exp(sigmoid, out=sigmoid)
+        sigmoid += 1.0
+        np.divide(1.0, sigmoid, out=sigmoid)
+        i = sigmoid[:, 0 * size : 1 * size]
+        f = sigmoid[:, 1 * size : 2 * size]
+        o = sigmoid[:, 3 * size : 4 * size]
+        g = np.tanh(gates[:, 2 * size : 3 * size])
+        c_next = f * c
+        c_next += i * g
+        h_next = np.tanh(c_next)
+        h_next *= o
+        return h_next, c_next
+
     def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
         zeros = Tensor(np.zeros((batch, self.hidden_size)))
         return zeros, Tensor(np.zeros((batch, self.hidden_size)))
@@ -167,4 +232,15 @@ class LSTMEncoder(Module):
         state = self.cell.initial_state(batch)
         for step in steps:
             state = self.cell(step, state)
+        return state[0]
+
+    def infer(self, steps: Sequence[np.ndarray]) -> np.ndarray:
+        """Final hidden state for (B, feature) ``steps``, computed step
+        by step like the autograd forward (never one stacked matmul
+        over the steps, whose bits differ)."""
+        if not len(steps):
+            raise ValueError("LSTMEncoder needs at least one step")
+        state = None
+        for step in steps:
+            state = self.cell.infer(step, state)
         return state[0]

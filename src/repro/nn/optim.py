@@ -26,7 +26,14 @@ def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
 
 
 class Adam:
-    """Adam with bias correction (Kingma & Ba)."""
+    """Adam with bias correction (Kingma & Ba).
+
+    The step runs in place: the moments update in their own arrays and
+    the update is formed in two scratch buffers sized to the largest
+    parameter, allocated once, in the same operation order as the
+    textbook ``lr * m_hat / (sqrt(v_hat) + eps)``, so results are
+    bit-identical to it.  ``parameter.grad`` is only read.
+    """
 
     def __init__(
         self,
@@ -42,22 +49,34 @@ class Adam:
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
+        largest = max((p.size for p in self.parameters), default=0)
+        self._scratch = (np.empty(largest), np.empty(largest))
 
     def step(self) -> None:
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
         for parameter, m, v in zip(self.parameters, self._m, self._v):
-            if parameter.grad is None:
-                continue
             grad = parameter.grad
+            if grad is None:
+                continue
+            update, denom = (
+                buffer[: m.size].reshape(m.shape) for buffer in self._scratch
+            )
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            np.multiply(grad, 1.0 - self.beta1, out=update)
+            m += update
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            parameter.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.square(grad, out=update)
+            update *= 1.0 - self.beta2
+            v += update
+            np.divide(m, bias1, out=update)
+            update *= self.lr
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            parameter.data -= update
 
     def zero_grad(self) -> None:
         for parameter in self.parameters:

@@ -9,6 +9,17 @@ semantics, with gradients summed back over broadcast axes.
 Supported primitives cover what the policy/value networks need: +, -,
 *, /, matmul, exp, log, tanh, sigmoid, relu, power, sum/mean, max,
 reshape, transpose, concatenate, stack, slicing and row gathering.
+
+Graphs are freed at backward: each op's closure refers to its own
+output tensor, so an unreleased graph is a reference cycle only the
+cyclic garbage collector can reclaim.  :meth:`Tensor.backward` drops
+every interior node's closure and parents once its gradient has been
+propagated, so a graph's intermediates die with the last reference to
+them.  Backpropagating through a released graph a second time raises
+``RuntimeError``.
+
+Acting never builds a graph: the layers' ``infer`` methods compute the
+same forward in plain numpy.
 """
 
 from __future__ import annotations
@@ -43,6 +54,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _released_backward(grad: np.ndarray) -> None:
+    raise RuntimeError(
+        "backward() through a graph that an earlier backward() already "
+        "released; rebuild the forward pass"
+    )
+
+
 class Tensor:
     """A numpy array with reverse-mode gradient tracking."""
 
@@ -53,6 +71,7 @@ class Tensor:
         "_backward",
         "_parents",
         "_sideband",
+        "__weakref__",
     )
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
@@ -116,39 +135,50 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.array(grad, dtype=self.data.dtype)
+        else:
+            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Reverse-mode accumulation from this tensor."""
+        """Reverse-mode accumulation from this tensor.
+
+        Releases the graph as it goes: every interior node loses its
+        closure and parents, so the graph can be backpropagated once.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor without grad")
         if grad is None:
             if self.size != 1:
                 raise RuntimeError("backward() without grad on non-scalar")
             grad = np.ones_like(self.data)
+        # Iterative post-order DFS (a recursive closure would be a
+        # reference cycle keeping ``order`` alive until the cyclic GC).
         order: list[Tensor] = []
-        seen: set[int] = set()
-
-        def visit(node: "Tensor") -> None:
-            if id(node) in seen or not node.requires_grad:
-                return
-            seen.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            order.append(node)
-
-        visit(self)
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if parent.requires_grad and id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
         grads: dict[int, np.ndarray] = {id(self): grad}
         for node in reversed(order):
             node_grad = grads.pop(id(node), None)
+            backward = node._backward
+            if backward is None:
+                if node_grad is not None:
+                    node._accumulate(node_grad)
+                continue
+            node._backward, node._parents = _released_backward, ()
             if node_grad is None:
                 continue
-            if node._backward is None:
-                node._accumulate(node_grad)
-                continue
             node._sideband = grads  # type: ignore[attr-defined]
-            node._backward(node_grad)
+            backward(node_grad)
             del node._sideband  # type: ignore[attr-defined]
 
     def _send(self, parent: "Tensor", grad: np.ndarray) -> None:

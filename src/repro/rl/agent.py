@@ -9,6 +9,13 @@ transformation samples — and how the result becomes an
 registry, so the agent contains no per-transform code.  The per-step
 log-probability is the sum over the heads actually sampled; PPO's
 importance ratios recompute the same sum differentiably.
+
+Acting is graph-free: it runs the networks' numpy ``infer`` forward and
+the sampling helpers of :mod:`repro.nn.distributions` and constructs no
+:class:`~repro.nn.tensor.Tensor`.  Only :meth:`ActorCritic.evaluate`
+builds autograd graphs.  Both paths compute in float64 with the same
+operations, so the log-probs and values recorded while acting equal,
+bit for bit, what re-evaluation computes for the old policy.
 """
 
 from __future__ import annotations
@@ -22,10 +29,28 @@ from ..env.actions import EnvAction, flat_action_table
 from ..env.config import EnvConfig
 from ..env.environment import Observation
 from ..env.masking import ActionMask
-from ..nn.distributions import MaskedCategorical
+from ..nn.distributions import (
+    MaskedCategorical,
+    categorical_mode,
+    categorical_sample,
+    masked_log_softmax,
+)
 from ..nn.tensor import Tensor
 from ..transforms.registry import view_for
 from .policy import FlatPolicyNetwork, PolicyNetwork, ValueNetwork
+
+
+def _batch(features: "Sequence[np.ndarray]") -> np.ndarray:
+    """Stack per-row feature vectors into one float64 (B, feature) array."""
+    return np.array(features, dtype=np.float64)
+
+
+def _pick(
+    log_probs: np.ndarray, rng: np.random.Generator, greedy: bool
+) -> np.ndarray:
+    if greedy:
+        return categorical_mode(log_probs)
+    return categorical_sample(log_probs, rng)
 
 
 @dataclass
@@ -76,12 +101,7 @@ class ActorCritic:
         self, observation: Observation, rng: np.random.Generator,
         greedy: bool = False,
     ) -> tuple[EnvAction, SampledStep]:
-        producer = Tensor(observation.producer[None, :])
-        consumer = Tensor(observation.consumer[None, :])
-        heads = self.policy(producer, consumer)
-        value = float(self.value(producer, consumer).data[0])
-        row = {name: np.asarray(t.data)[0] for name, t in heads.items()}
-        return self._sample_row(row, value, observation, rng, greedy)
+        return self.act_batch([observation], [rng], greedy)[0]
 
     def act_batch(
         self,
@@ -100,20 +120,20 @@ class ActorCritic:
             raise ValueError("need one rng per observation")
         if not observations:
             return []
-        producer = Tensor(np.stack([o.producer for o in observations]))
-        consumer = Tensor(np.stack([o.consumer for o in observations]))
-        heads = self.policy(producer, consumer)
-        values = np.asarray(self.value(producer, consumer).data)
-        head_data = {name: np.asarray(t.data) for name, t in heads.items()}
-        out = []
-        for index, (observation, rng) in enumerate(zip(observations, rngs)):
-            row = {name: data[index] for name, data in head_data.items()}
-            out.append(
-                self._sample_row(
-                    row, float(values[index]), observation, rng, greedy
-                )
+        producer = _batch([o.producer for o in observations])
+        consumer = _batch([o.consumer for o in observations])
+        heads = self.policy.infer(producer, consumer)
+        values = self.value.infer(producer, consumer)
+        return [
+            self._sample_row(
+                {name: data[index] for name, data in heads.items()},
+                float(values[index]),
+                observation,
+                rng,
+                greedy,
             )
-        return out
+            for index, (observation, rng) in enumerate(zip(observations, rngs))
+        ]
 
     def _sample_row(
         self,
@@ -126,15 +146,11 @@ class ActorCritic:
         """Sample one decision from per-row head logits (no batch axis)."""
         mask = observation.mask
 
-        trans_dist = MaskedCategorical(
-            Tensor(heads["transformation"][None, :]),
-            mask.transformation[None, :],
+        trans_log_probs = masked_log_softmax(
+            heads["transformation"], mask.transformation
         )
-        if greedy:
-            trans = int(trans_dist.mode()[0])
-        else:
-            trans = int(trans_dist.sample(rng)[0])
-        log_prob = float(trans_dist.log_prob(np.array([trans])).data[0])
+        trans = int(_pick(trans_log_probs, rng, greedy))
+        log_prob = float(trans_log_probs[trans])
         spec, kind = self.view.item(trans)
         head = spec.head(self.config)
 
@@ -145,27 +161,15 @@ class ActorCritic:
         if head is not None:
             head_name = head.name
             param_mask = mask.params[head.mask_key]
+            log_probs = masked_log_softmax(heads[head.name], param_mask)
             if head.rows:
-                dist = MaskedCategorical(
-                    Tensor(heads[head.name][None, :, :]),
-                    param_mask[None, :, :],
-                )
-                sampled = dist.mode()[0] if greedy else dist.sample(rng)[0]
-                tile_indices = sampled.astype(np.int64)
+                tile_indices = _pick(log_probs, rng, greedy).astype(np.int64)
                 log_prob += float(
-                    dist.log_prob(tile_indices[None, :]).sum().data
+                    log_probs[np.arange(head.rows), tile_indices].sum()
                 )
             else:
-                dist = MaskedCategorical(
-                    Tensor(heads[head.name][None, :]),
-                    param_mask[None, :],
-                )
-                choice = int(
-                    dist.mode()[0] if greedy else dist.sample(rng)[0]
-                )
-                log_prob += float(
-                    dist.log_prob(np.array([choice])).data[0]
-                )
+                choice = int(_pick(log_probs, rng, greedy))
+                log_prob += float(log_probs[choice])
 
         action = spec.to_env_action(
             kind, self.config, tile_indices=tile_indices, choice=choice
@@ -196,8 +200,8 @@ class ActorCritic:
         distribution under a trivial single-option mask and are zeroed
         by the indicator, leaving values and gradients untouched.
         """
-        producer = Tensor(np.stack([s.producer for s in steps]))
-        consumer = Tensor(np.stack([s.consumer for s in steps]))
+        producer = Tensor(_batch([s.producer for s in steps]))
+        consumer = Tensor(_batch([s.consumer for s in steps]))
         heads = self.policy(producer, consumer)
         values = self.value(producer, consumer)
 
@@ -311,14 +315,14 @@ class FlatActorCritic:
         num_loops: int,
         rng: np.random.Generator,
     ) -> tuple["FlatSampledStep", int]:
-        producer = Tensor(observation.producer[None, :])
-        consumer = Tensor(observation.consumer[None, :])
-        logits = self.policy(producer, consumer)
-        value = float(self.value(producer, consumer).data[0])
+        producer = _batch([observation.producer])
+        consumer = _batch([observation.consumer])
+        logits = self.policy.infer(producer, consumer)[0]
+        value = float(self.value.infer(producer, consumer)[0])
         legal = self.flat_mask(observation.mask, num_loops)
-        dist = MaskedCategorical(logits, legal[None, :])
-        choice = int(dist.sample(rng)[0])
-        log_prob = float(dist.log_prob(np.array([choice])).data[0])
+        log_probs = masked_log_softmax(logits, legal)
+        choice = int(categorical_sample(log_probs, rng))
+        log_prob = float(log_probs[choice])
         step = FlatSampledStep(
             consumer=observation.consumer,
             producer=observation.producer,
@@ -332,8 +336,8 @@ class FlatActorCritic:
     def evaluate(
         self, steps: list["FlatSampledStep"]
     ) -> tuple[Tensor, Tensor, Tensor]:
-        producer = Tensor(np.stack([s.producer for s in steps]))
-        consumer = Tensor(np.stack([s.consumer for s in steps]))
+        producer = Tensor(_batch([s.producer for s in steps]))
+        consumer = Tensor(_batch([s.consumer for s in steps]))
         logits = self.policy(producer, consumer)
         values = self.value(producer, consumer)
         masks = np.stack([s.mask for s in steps])

@@ -16,6 +16,11 @@ Three components:
    identical shapes and initialization order, so seed checkpoints load
    unchanged; registering a transform grows the heads with zero edits
    here.
+
+Each network has two forwards with the same numbers: ``__call__`` on
+:class:`~repro.nn.tensor.Tensor` inputs builds the autograd graph PPO
+re-evaluation trains through, and ``infer`` on plain (B, feature)
+arrays is the graph-free path acting uses.
 """
 
 from __future__ import annotations
@@ -72,12 +77,22 @@ class PolicyNetwork(Module):
         Inputs are (B, feature) tensors; per-level heads are reshaped to
         (B, rows, cols) so each loop level has its own distribution.
         """
-        features = self.embed(producer, consumer)
+        return self._heads(self.embed(producer, consumer), Linear.__call__)
+
+    def infer(
+        self, producer: np.ndarray, consumer: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """Graph-free :meth:`__call__` on (B, feature) arrays."""
+        features = self.backbone.infer(self.encoder.infer([producer, consumer]))
+        return self._heads(features, Linear.infer)
+
+    def _heads(self, features, apply) -> dict:
+        """Head logits from backbone ``features`` via ``apply(layer, x)``."""
         batch = features.shape[0]
-        out = {"transformation": self.head_transformation(features)}
+        out = {"transformation": apply(self.head_transformation, features)}
         for name, layer in self.param_heads.items():
             head = self._head_specs[name]
-            logits = layer(features)
+            logits = apply(layer, features)
             if head.rows:
                 logits = logits.reshape(batch, head.rows, head.cols)
             out[name] = logits
@@ -106,6 +121,11 @@ class FlatPolicyNetwork(Module):
         hidden = self.encoder([producer, consumer])
         return self.head(self.backbone(hidden))
 
+    def infer(self, producer: np.ndarray, consumer: np.ndarray) -> np.ndarray:
+        """Graph-free :meth:`__call__` on (B, feature) arrays."""
+        hidden = self.encoder.infer([producer, consumer])
+        return self.head.infer(self.backbone.infer(hidden))
+
 
 class ValueNetwork(Module):
     """Critic (§V-B): same embedding + backbone shape, scalar output."""
@@ -126,3 +146,8 @@ class ValueNetwork(Module):
     def __call__(self, producer: Tensor, consumer: Tensor) -> Tensor:
         hidden = self.encoder([producer, consumer])
         return self.head(self.backbone(hidden)).reshape(-1)
+
+    def infer(self, producer: np.ndarray, consumer: np.ndarray) -> np.ndarray:
+        """Graph-free :meth:`__call__` on (B, feature) arrays."""
+        hidden = self.encoder.infer([producer, consumer])
+        return self.head.infer(self.backbone.infer(hidden)).reshape(-1)

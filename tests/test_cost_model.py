@@ -26,12 +26,14 @@ from repro.machine import (
     CachingExecutor,
     CostModelExecutor,
     ExecutionCache,
+    Executor,
     ScheduleCostEvaluator,
     XEON_E5_2680_V4,
     build_corpus,
     export_dataset,
 )
-from repro.machine.dataset import check_model_compatible
+from repro.machine.dataset import check_model_compatible, sample_features
+from repro.machine.service import func_fingerprint
 from repro.machine.persist import (
     PersistError,
     decode_value,
@@ -281,6 +283,77 @@ class _SpyEvaluator:
             list(keys) if keys is not None else [None] * len(candidates)
         )
         return [1.0] * len(candidates)
+
+
+class _RecordingModel:
+    """A stand-in cost model that records the batches it is given."""
+
+    feature_version = FEATURE_VERSION
+
+    def __init__(self):
+        self.batches = []
+
+    def predict_seconds(self, features):
+        self.batches.append(np.array(features))
+        return np.ones(len(features))
+
+
+class TestEvaluatorFeatures:
+    def test_batch_rows_equal_sample_features(self):
+        """Every batch row the evaluator assembles from its memoized
+        prefixes and block table equals the row ``sample_features``
+        builds from scratch, also after the block table has grown."""
+        model = _RecordingModel()
+        evaluator = ScheduleCostEvaluator(model, XEON_E5_2680_V4)
+        # Start from a one-row table so the search grows it.
+        evaluator._block_table = evaluator._block_table[:1].copy()
+        executor = Executor(XEON_E5_2680_V4)
+        expected_batches = []
+        score_batch = evaluator.score_batch
+
+        def recording_score_batch(candidates, keys=None):
+            # Rows are built now: the search goes on to edit the
+            # schedules of some candidates it was given.
+            expected_batches.append(
+                [
+                    sample_features(
+                        XEON_E5_2680_V4,
+                        func_fingerprint(scheduled.func),
+                        keys[index]
+                        if keys is not None and keys[index] is not None
+                        else scheduled.schedule_key(),
+                        executor.run_baseline(scheduled.func).seconds,
+                    )
+                    for index, scheduled in enumerate(candidates)
+                ]
+            )
+            return score_batch(candidates, keys=keys)
+
+        evaluator.score_batch = recording_score_batch
+        BeamSearchAgent(beam_width=2, evaluator=evaluator).optimize(_chain())
+        assert len(evaluator._block_rows) > 2
+        assert len(model.batches) == len(expected_batches)
+        for batch, expected in zip(model.batches, expected_batches):
+            assert batch.shape == (len(expected), FEATURE_SIZE)
+            assert np.array_equal(batch, np.stack(expected))
+
+    def test_unkeyable_candidates_fall_back(self):
+        model = _RecordingModel()
+        evaluator = ScheduleCostEvaluator(model, XEON_E5_2680_V4)
+
+        class Unkeyable:
+            func = _mm()
+
+            def schedule_key(self):
+                return None
+
+        from repro.transforms.pipeline import ScheduledFunction
+
+        keyed = ScheduledFunction(_mm())
+        scores = evaluator.score_batch([Unkeyable(), keyed, Unkeyable()])
+        assert scores == [None, 1.0, None]
+        assert evaluator.stats.fallbacks == 2
+        assert [len(batch) for batch in model.batches] == [1]
 
 
 class TestGuidedSearch:

@@ -113,7 +113,15 @@ class TestDrivers:
 
     def test_overhead_driver(self):
         result = run_overhead(samples=2)
-        assert result["inference_seconds_per_sample"] > 0
+        assert "inference_seconds_per_sample" not in result
+        assert result["policy_seconds_per_sample"] > 0
+        assert result["env_seconds_per_sample"] > 0
+        # act and env calls are disjoint intervals inside the episode
+        assert (
+            result["policy_seconds_per_sample"]
+            + result["env_seconds_per_sample"]
+            <= result["episode_seconds_per_sample"]
+        )
         assert result["transform_seconds_per_sample"] >= 0
 
     def test_interchange_ablation_runs(self):
