@@ -1,10 +1,29 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Package metadata for the ``repro`` distribution.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` works via setuptools' legacy editable-install path on
-offline machines where PEP 517 build isolation cannot fetch ``wheel``.
+A plain setuptools script (no ``pyproject.toml``), so ``pip install -e .``
+works through setuptools' legacy editable-install path on offline
+machines where PEP 517 build isolation cannot fetch ``wheel``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _INIT.read_text(), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    description=(
+        "A reinforcement-learning environment for automatic code "
+        "optimization in an MLIR-style compiler"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["repro = repro.cli:main"]},
+)

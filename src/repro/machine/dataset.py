@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -120,54 +121,97 @@ def _program_op_block(op_entry: tuple) -> list[float]:
     return block
 
 
-def _schedule_op_block(state: tuple | None) -> list[float]:
-    """Features of one op's schedule state (state_key tuple), or zeros
-    for a never-scheduled op (baseline lowering).
+def _frozen(values: list[float]) -> np.ndarray:
+    array = np.asarray(values, dtype=np.float32)
+    array.setflags(write=False)
+    return array
 
-    Hot path of candidate scoring (every beam expansion builds exactly
-    one novel op block; the rest hit the evaluator's memo), so it
-    avoids helper-call overhead: state components are non-negative ints
-    straight from ``state_key``.
-    """
-    if state is None:
-        return [0.0] * SCHEDULE_OP_FEATURES
-    log2 = math.log2
-    extents, order, bands, vectorized, fused_into, fused, annotations = state
-    block = [1.0]
-    block += [
-        log2(1 + extent) / _LOG_EXTENT_SCALE
+
+# The schedule block of one op is a concatenation of parts, each a pure
+# function of one component of the op's state.  A beam expansion changes
+# one component of its parent's state, so the parts are memoized as
+# read-only float32 arrays: a novel block converts only its novel parts.
+
+
+@lru_cache(maxsize=4096)
+def _extents_part(extents: tuple[int, ...]) -> np.ndarray:
+    """Presence flag, then per-dim log extents."""
+    values = [1.0]
+    values += [
+        math.log2(1 + extent) / _LOG_EXTENT_SCALE
         for extent in extents[:MAX_DIMS]
     ]
-    if len(extents) < MAX_DIMS:
-        block += [0.0] * (MAX_DIMS - len(extents))
-    block += [(position + 1) / 12.0 for position in order[:MAX_DIMS]]
-    if len(order) < MAX_DIMS:
-        block += [0.0] * (MAX_DIMS - len(order))
-    block.append(len(bands) / 4.0)
-    for index in range(MAX_BANDS):
-        if index < len(bands):
-            parallel, loops = bands[index]
-            block += [1.0 if parallel else 0.0, len(loops) / 4.0]
-            for slot in range(BAND_LOOPS):
-                if slot < len(loops):
-                    dim, trip, tile, loop_parallel = loops[slot]
-                    block += [
-                        (dim + 1) / 12.0,
-                        log2(1 + trip) / _LOG_EXTENT_SCALE,
-                        log2(1 + tile) / _LOG_EXTENT_SCALE,
-                        1.0 if loop_parallel else 0.0,
-                    ]
-                else:
-                    block += [0.0, 0.0, 0.0, 0.0]
+    return _frozen(values + [0.0] * (1 + MAX_DIMS - len(values)))
+
+
+@lru_cache(maxsize=4096)
+def _order_part(order: tuple[int, ...], num_bands: int) -> np.ndarray:
+    """Loop order, then the band count."""
+    values = [(position + 1) / 12.0 for position in order[:MAX_DIMS]]
+    values += [0.0] * (MAX_DIMS - len(values))
+    return _frozen(values + [num_bands / 4.0])
+
+
+@lru_cache(maxsize=16384)
+def _band_part(band: tuple) -> np.ndarray:
+    """Parallel flag, loop count and per-loop detail of one tile band."""
+    parallel, loops = band
+    values = [1.0 if parallel else 0.0, len(loops) / 4.0]
+    for slot in range(BAND_LOOPS):
+        if slot < len(loops):
+            dim, trip, tile, loop_parallel = loops[slot]
+            values += [
+                (dim + 1) / 12.0,
+                math.log2(1 + trip) / _LOG_EXTENT_SCALE,
+                math.log2(1 + tile) / _LOG_EXTENT_SCALE,
+                1.0 if loop_parallel else 0.0,
+            ]
         else:
-            block += [0.0] * BAND_FEATURES
-    block += [
-        1.0 if vectorized else 0.0,
-        1.0 if fused_into else 0.0,
-        len(fused) / 4.0,
-        len(annotations) / 4.0,
-    ]
-    return block
+            values += [0.0, 0.0, 0.0, 0.0]
+    return _frozen(values)
+
+
+_NO_BAND = _frozen([0.0] * BAND_FEATURES)
+
+
+@lru_cache(maxsize=256)
+def _flags_part(
+    vectorized: bool, fused_into: bool, num_fused: int, num_annotations: int
+) -> np.ndarray:
+    """Vector/fusion flags and the annotation count."""
+    return _frozen(
+        [
+            1.0 if vectorized else 0.0,
+            1.0 if fused_into else 0.0,
+            num_fused / 4.0,
+            num_annotations / 4.0,
+        ]
+    )
+
+
+def _schedule_op_parts(state: tuple) -> list[np.ndarray]:
+    """One op's schedule block (state_key tuple) as its parts, in order;
+    their concatenation is the block."""
+    extents, order, bands, vectorized, fused_into, fused, annotations = state
+    parts = [_extents_part(extents), _order_part(order, len(bands))]
+    for index in range(MAX_BANDS):
+        parts.append(
+            _band_part(bands[index]) if index < len(bands) else _NO_BAND
+        )
+    parts.append(
+        _flags_part(
+            bool(vectorized), bool(fused_into), len(fused), len(annotations)
+        )
+    )
+    return parts
+
+
+def _schedule_op_block(state: tuple | None) -> list[float]:
+    """Features of one op's schedule state (state_key tuple), or zeros
+    for a never-scheduled op (baseline lowering)."""
+    if state is None:
+        return [0.0] * SCHEDULE_OP_FEATURES
+    return np.concatenate(_schedule_op_parts(state)).tolist()
 
 
 def _static_blocks(
@@ -524,18 +568,30 @@ class ScheduleCostEvaluator:
             (1024, SCHEDULE_OP_FEATURES), dtype=np.float32
         )
         self._block_table[0] = _schedule_op_block(None)
+        #: Rows ``_written_rows`` onward are numbered but not yet in the
+        #: table; their blocks' parts wait here, so one batch's new
+        #: blocks are written with one concatenation.
+        self._written_rows = 1
+        self._pending_parts: list[np.ndarray] = []
 
     def _block_row(self, op_state: tuple | None) -> int:
         row = self._block_rows.get(op_state)
         if row is None:
-            row = len(self._block_rows)
-            if row == len(self._block_table):
-                self._block_table = np.concatenate(
-                    [self._block_table, np.empty_like(self._block_table)]
-                )
-            self._block_table[row] = _schedule_op_block(op_state)
-            self._block_rows[op_state] = row
+            self._pending_parts += _schedule_op_parts(op_state)
+            row = self._block_rows[op_state] = len(self._block_rows)
         return row
+
+    def _write_pending_blocks(self) -> None:
+        start, end = self._written_rows, len(self._block_rows)
+        while end > len(self._block_table):
+            self._block_table = np.concatenate(
+                [self._block_table, np.empty_like(self._block_table)]
+            )
+        self._block_table[start:end] = np.concatenate(
+            self._pending_parts
+        ).reshape(end - start, SCHEDULE_OP_FEATURES)
+        self._written_rows = end
+        self._pending_parts.clear()
 
     def _prefix(self, scheduled: ScheduledFunction) -> np.ndarray | None:
         fingerprint = func_fingerprint(scheduled.func)
@@ -584,11 +640,13 @@ class ScheduleCostEvaluator:
             if prefix is None:
                 self.stats.fallbacks += 1
                 continue
-            rows += [block_row(op_state) for op_state in state[:MAX_OPS]]
+            rows += map(block_row, state[:MAX_OPS])
             if len(state) < MAX_OPS:
                 rows += padding[len(state) :]
             prefixes.append(prefix)
             positions.append(index)
+        if self._pending_parts:
+            self._write_pending_blocks()
         if positions:
             batch = np.empty((len(positions), FEATURE_SIZE), dtype=np.float32)
             batch[:, : self._static_size] = prefixes
@@ -596,8 +654,8 @@ class ScheduleCostEvaluator:
                 len(positions), -1
             )
             predictions = self.model.predict_seconds(batch)
-            for position, seconds in zip(positions, predictions):
-                scores[position] = float(seconds)
+            for position, seconds in zip(positions, predictions.tolist()):
+                scores[position] = seconds
             self.stats.batches += 1
             self.stats.scored += len(positions)
         return scores

@@ -19,13 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..transforms.loop_nest import (
-    Access,
-    LoweredNest,
-    coverage_per_dim,
-    footprint_elems,
-)
-from .spec import CacheLevel, MachineSpec
+from ..transforms.loop_nest import Access, LoweredNest, coverage_per_dim
+from .spec import MachineSpec
 
 #: Fraction of a cache's capacity the model lets a working set use
 #: (conflict misses, other residents).
@@ -43,13 +38,13 @@ def access_lines(
     whenever the trailing span doesn't cover whole lines — a conservative
     but monotone approximation).
     """
+    shape = access.tensor_shape
     spans: list[int] = []
-    for row, extent in zip(access.matrix, access.tensor_shape):
+    for terms, extent in zip(access.row_terms, shape):
         span = 1
-        for dim, coeff in enumerate(row[:-1]):
-            if coeff != 0:
-                span += abs(coeff) * (cover[dim] - 1)
-        spans.append(min(span, extent))
+        for dim, coeff in terms:
+            span += coeff * (cover[dim] - 1)
+        spans.append(span if span < extent else extent)
     if not spans:
         return 1
     # Trailing dimensions whose span covers the whole extent are
@@ -57,8 +52,8 @@ def access_lines(
     # into one contiguous run, then charge a line per residual outer index.
     contiguous = spans[-1]
     index = len(spans) - 2
-    if spans[-1] == access.tensor_shape[-1]:
-        while index >= 0 and spans[index] == access.tensor_shape[index]:
+    if spans[-1] == shape[-1]:
+        while index >= 0 and spans[index] == shape[index]:
             contiguous *= spans[index]
             index -= 1
     outer = 1
@@ -68,28 +63,51 @@ def access_lines(
     return outer * run_lines
 
 
+class _Footprints:
+    """Per-access line counts of one nest's blocks, filled lazily by depth.
+
+    The block at a depth covers the same points whatever the cache level,
+    and ``line_bytes`` is spec-wide, so every level of one
+    :func:`nest_traffic` call reads the same rows.
+    """
+
+    def __init__(self, nest: LoweredNest, line_bytes: int) -> None:
+        self.nest = nest
+        self.line_bytes = line_bytes
+        self.num_dims = 1 + max(
+            (loop.dim for loop in nest.loops), default=0
+        )
+        self._lines: dict[int, list[int]] = {}
+
+    def lines(self, depth: int) -> list[int]:
+        """Lines each access touches in one execution of the block."""
+        row = self._lines.get(depth)
+        if row is None:
+            cover = coverage_per_dim(self.nest.loops, depth, self.num_dims)
+            row = [
+                access_lines(access, cover, self.line_bytes)
+                for access in self.nest.accesses
+            ]
+            self._lines[depth] = row
+        return row
+
+    def block_bytes(self, depth: int) -> int:
+        """Total line-granular footprint of the block at ``depth``."""
+        return sum(self.lines(depth)) * self.line_bytes
+
+    def reuse_depth(self, capacity: float) -> int:
+        """Outermost depth whose block footprint fits in ``capacity``."""
+        for depth in range(len(self.nest.loops) + 1):
+            if self.block_bytes(depth) <= capacity:
+                return depth
+        return len(self.nest.loops)
+
+
 def block_footprint_bytes(
     nest: LoweredNest, depth: int, line_bytes: int
 ) -> int:
     """Total line-granular footprint of the block at ``depth``."""
-    num_dims = 1 + max(
-        (loop.dim for loop in nest.loops), default=0
-    )
-    cover = coverage_per_dim(nest.loops, depth, num_dims)
-    return sum(
-        access_lines(access, cover, line_bytes) * line_bytes
-        for access in nest.accesses
-    )
-
-
-def _reuse_depth(
-    nest: LoweredNest, capacity: float, line_bytes: int
-) -> int:
-    """Outermost depth whose block footprint fits in ``capacity``."""
-    for depth in range(len(nest.loops) + 1):
-        if block_footprint_bytes(nest, depth, line_bytes) <= capacity:
-            return depth
-    return len(nest.loops)
+    return _Footprints(nest, line_bytes).block_bytes(depth)
 
 
 @dataclass
@@ -113,25 +131,25 @@ def nest_traffic(
     ``skip_tensor_ids`` removes accesses whose data is guaranteed
     cache-resident (fused intermediates) from the DRAM/L3 traffic.
     """
-    num_dims = 1 + max((loop.dim for loop in nest.loops), default=0)
+    footprints = _Footprints(nest, spec.line_bytes)
+    last_level = spec.caches[-1].name
     bytes_per_level: dict[str, float] = {}
     reuse_depths: dict[str, int] = {}
     for level in spec.caches:
         capacity = level.capacity * _CACHE_UTILIZATION
-        depth = _reuse_depth(nest, capacity, spec.line_bytes)
+        depth = footprints.reuse_depth(capacity)
         reuse_depths[level.name] = depth
-        cover = coverage_per_dim(nest.loops, depth, num_dims)
+        outer_loops = nest.loops[:depth]
         total = 0.0
-        for access in nest.accesses:
+        for access, lines in zip(nest.accesses, footprints.lines(depth)):
             if (
                 access.tensor_id in skip_tensor_ids
-                and level.name == spec.caches[-1].name
+                and level.name == last_level
             ):
                 continue
-            lines = access_lines(access, cover, spec.line_bytes)
             executions = 1
             used = access.dims_used()
-            for loop in nest.loops[:depth]:
+            for loop in outer_loops:
                 if loop.dim in used:
                     executions *= loop.trip
             weight = 2.0 if access.is_write else 1.0

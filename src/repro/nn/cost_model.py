@@ -72,10 +72,10 @@ class CostModel(Module):
         BLAS thread (see :mod:`repro.nn.blas`) — training stays float64
         through the autograd path.
         """
-        x = (
-            np.asarray(features, dtype=np.float32)
-            - self.x_mean.astype(np.float32)
-        ) / self.x_std.astype(np.float32)
+        x = np.asarray(features, dtype=np.float32) - self.x_mean.astype(
+            np.float32
+        )
+        x /= self.x_std.astype(np.float32)
         with single_threaded_blas():
             log_seconds = self.mlp.infer(x)
         return log_seconds[:, 0] * self.y_std + self.y_mean

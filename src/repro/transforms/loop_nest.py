@@ -48,18 +48,43 @@ class Access:
     matrix: tuple[tuple[int, ...], ...]
     is_write: bool
     tensor_id: int = -1
+    #: Per tensor dimension, ``(loop dim, |coeff|)`` of every non-zero
+    #: loop coefficient: the sparse rows the footprint model walks.
+    #: Derived from ``matrix`` at construction and left out of ``==``,
+    #: ``hash`` and ``repr``.
+    row_terms: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _dims_used: frozenset[int] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        row_terms = tuple(
+            [
+                tuple(
+                    [
+                        (dim, abs(coeff))
+                        for dim, coeff in enumerate(row[:-1])
+                        if coeff != 0
+                    ]
+                )
+                for row in self.matrix
+            ]
+        )
+        object.__setattr__(self, "row_terms", row_terms)
+        object.__setattr__(
+            self,
+            "_dims_used",
+            frozenset([dim for terms in row_terms for dim, _ in terms]),
+        )
 
     @property
     def tensor_bytes(self) -> int:
         return reduce(mul, self.tensor_shape, 1) * self.element_bytes
 
-    def dims_used(self) -> set[int]:
-        used: set[int] = set()
-        for row in self.matrix:
-            for position, coeff in enumerate(row[:-1]):
-                if coeff != 0:
-                    used.add(position)
-        return used
+    def dims_used(self) -> frozenset[int]:
+        return self._dims_used
 
     def innermost_stride_elems(self, dim: int) -> int:
         """Element stride when loop dimension ``dim`` advances by one."""
@@ -188,10 +213,9 @@ def footprint_elems(access: Access, cover: Sequence[int]) -> int:
     """Rectangle footprint (in elements) of ``access`` for a block that
     covers ``cover[d]`` consecutive points of each dim ``d``."""
     total = 1
-    for row, extent in zip(access.matrix, access.tensor_shape):
+    for terms, extent in zip(access.row_terms, access.tensor_shape):
         span = 1
-        for dim, coeff in enumerate(row[:-1]):
-            if coeff != 0:
-                span += abs(coeff) * (cover[dim] - 1)
+        for dim, coeff in terms:
+            span += coeff * (cover[dim] - 1)
         total *= min(span, extent)
     return total

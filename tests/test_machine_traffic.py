@@ -1,19 +1,31 @@
 """Tests for the analytical traffic model, validated against the
 trace-driven cache simulator."""
 
+import math
+import pickle
+from dataclasses import replace
+
 import pytest
 
-from repro.ir import matmul, tensor
+from repro.baselines import BeamSearchAgent
+from repro.datasets.dnn_ops import evaluation_suite
+from repro.env.config import PAPER_CONFIG
+from repro.ir import FuncOp, add, empty, matmul, relu, tensor
 from repro.machine import (
     CacheHierarchy,
     MachineSpec,
     SetAssociativeCache,
+    TrafficReport,
     access_lines,
     block_footprint_bytes,
     compulsory_bytes,
+    nest_time,
     nest_traffic,
     simulate_nest,
+    timing,
 )
+from repro.machine.registry import machine_names
+from repro.machine.registry import spec as resolve_spec
 from repro.machine.spec import CacheLevel
 from repro.transforms import (
     Interchange,
@@ -24,7 +36,7 @@ from repro.transforms import (
     lower_baseline,
     lower_scheduled_op,
 )
-from repro.transforms.loop_nest import Access
+from repro.transforms.loop_nest import Access, coverage_per_dim
 
 
 def _matmul_nest(m, n, k):
@@ -260,3 +272,199 @@ class TestAccessLinesEdges:
         counts = [access_lines(access, cover, 64) for cover in covers]
         assert counts == sorted(counts)
         assert counts[0] == 1 and counts[-1] == 256
+
+
+# -- differential oracle ------------------------------------------------------
+#
+# The per-level traffic model as it stood before footprints were shared
+# across cache levels: every level rescans every depth, and every line
+# count walks the dense access matrix.  Kept verbatim apart from the
+# names, the inlined utilization constant and an inlined dense
+# ``dims_used``, so the one-pass model can be held to exact equality
+# with it.
+
+
+def _oracle_dims_used(access):
+    used = set()
+    for row in access.matrix:
+        for position, coeff in enumerate(row[:-1]):
+            if coeff != 0:
+                used.add(position)
+    return used
+
+
+def _oracle_access_lines(access, cover, line_bytes):
+    spans = []
+    for row, extent in zip(access.matrix, access.tensor_shape):
+        span = 1
+        for dim, coeff in enumerate(row[:-1]):
+            if coeff != 0:
+                span += abs(coeff) * (cover[dim] - 1)
+        spans.append(min(span, extent))
+    if not spans:
+        return 1
+    contiguous = spans[-1]
+    index = len(spans) - 2
+    if spans[-1] == access.tensor_shape[-1]:
+        while index >= 0 and spans[index] == access.tensor_shape[index]:
+            contiguous *= spans[index]
+            index -= 1
+    outer = 1
+    for position in range(index + 1):
+        outer *= spans[position]
+    run_lines = math.ceil(contiguous * access.element_bytes / line_bytes)
+    return outer * run_lines
+
+
+def _oracle_block_footprint_bytes(nest, depth, line_bytes):
+    num_dims = 1 + max(
+        (loop.dim for loop in nest.loops), default=0
+    )
+    cover = coverage_per_dim(nest.loops, depth, num_dims)
+    return sum(
+        _oracle_access_lines(access, cover, line_bytes) * line_bytes
+        for access in nest.accesses
+    )
+
+
+def _oracle_reuse_depth(nest, capacity, line_bytes):
+    for depth in range(len(nest.loops) + 1):
+        if _oracle_block_footprint_bytes(nest, depth, line_bytes) <= capacity:
+            return depth
+    return len(nest.loops)
+
+
+def _oracle_nest_traffic(nest, spec, skip_tensor_ids=frozenset()):
+    num_dims = 1 + max((loop.dim for loop in nest.loops), default=0)
+    bytes_per_level = {}
+    reuse_depths = {}
+    for level in spec.caches:
+        capacity = level.capacity * 0.8
+        depth = _oracle_reuse_depth(nest, capacity, spec.line_bytes)
+        reuse_depths[level.name] = depth
+        cover = coverage_per_dim(nest.loops, depth, num_dims)
+        total = 0.0
+        for access in nest.accesses:
+            if (
+                access.tensor_id in skip_tensor_ids
+                and level.name == spec.caches[-1].name
+            ):
+                continue
+            lines = _oracle_access_lines(access, cover, spec.line_bytes)
+            executions = 1
+            used = _oracle_dims_used(access)
+            for loop in nest.loops[:depth]:
+                if loop.dim in used:
+                    executions *= loop.trip
+            weight = 2.0 if access.is_write else 1.0
+            total += executions * lines * spec.line_bytes * weight
+        bytes_per_level[level.name] = total
+    return TrafficReport(bytes_per_level, reuse_depths)
+
+
+def _chain_funcs():
+    """Producer-consumer pairs whose searches reach tiled fusion."""
+    x, y = tensor([96, 64]), tensor([96, 64])
+    elementwise = FuncOp("add_relu", [x, y])
+    first = elementwise.append(add(x, y, empty([96, 64])))
+    second = elementwise.append(relu(first.result(), empty([96, 64])))
+    elementwise.returns = [second.result()]
+
+    a, b = tensor([128, 64]), tensor([64, 96])
+    contraction = FuncOp("matmul_relu", [a, b])
+    product = contraction.append(matmul(a, b, empty([128, 96])))
+    rectified = contraction.append(relu(product.result(), empty([128, 96])))
+    contraction.returns = [rectified.result()]
+    return [elementwise, contraction]
+
+
+@pytest.fixture(scope="module")
+def searched_nests():
+    """Every (nest, skip ids) a short beam-4 search times: each Fig. 5
+    operator plus two fusable chains, expansions and baselines alike."""
+    recorded = []
+    real = timing.nest_traffic
+
+    def record(nest, spec, skip_tensor_ids=frozenset()):
+        recorded.append((nest, skip_tensor_ids))
+        return real(nest, spec, skip_tensor_ids)
+
+    config = replace(PAPER_CONFIG, max_schedule_length=2)
+    funcs = [case.build() for case in evaluation_suite()] + _chain_funcs()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timing, "nest_traffic", record)
+        for func in funcs:
+            BeamSearchAgent(beam_width=4, config=config).run(func)
+    return recorded
+
+
+class TestOnePassMatchesPerLevelOracle:
+    """The one-pass model equals the per-level model exactly: same
+    reuse depths, same bytes (no tolerance), same nest timings."""
+
+    def test_search_covers_fused_nests(self, searched_nests):
+        assert len(searched_nests) > 1000
+        assert any(skip for _, skip in searched_nests)
+        assert any(nest.fused for nest, _ in searched_nests)
+
+    @pytest.mark.parametrize("machine", machine_names())
+    def test_traffic_reports_equal(self, searched_nests, machine):
+        spec = resolve_spec(machine)
+        for nest, skip in searched_nests:
+            report = nest_traffic(nest, spec, skip)
+            oracle = _oracle_nest_traffic(nest, spec, skip)
+            assert report.reuse_depths == oracle.reuse_depths
+            assert report.bytes_per_level == oracle.bytes_per_level
+
+    @pytest.mark.parametrize("machine", machine_names())
+    def test_nest_times_equal(self, searched_nests, machine, monkeypatch):
+        spec = resolve_spec(machine)
+        fast = [
+            nest_time(nest, spec, skip_tensor_ids=skip)
+            for nest, skip in searched_nests
+        ]
+        monkeypatch.setattr(timing, "nest_traffic", _oracle_nest_traffic)
+        slow = [
+            nest_time(nest, spec, skip_tensor_ids=skip)
+            for nest, skip in searched_nests
+        ]
+        assert fast == slow
+
+    def test_block_footprints_equal(self, searched_nests):
+        for nest, _ in searched_nests[::7]:
+            for depth in range(len(nest.loops) + 1):
+                assert block_footprint_bytes(
+                    nest, depth, 64
+                ) == _oracle_block_footprint_bytes(nest, depth, 64)
+
+
+class TestAccessDerivedTerms:
+    def _access(self):
+        return Access(
+            tensor_shape=(32, 16, 8),
+            element_bytes=4,
+            matrix=((1, 0, 2, 0), (0, -3, 0, 1), (0, 0, 0, 0)),
+            is_write=True,
+            tensor_id=7,
+        )
+
+    def test_terms_are_sparse_absolute_coefficients(self):
+        access = self._access()
+        assert access.row_terms == (((0, 1), (2, 2)), ((1, 3),), ())
+        assert access.dims_used() == {0, 1, 2}
+        assert isinstance(access.dims_used(), frozenset)
+
+    def test_derived_terms_leave_equality_and_hash_alone(self):
+        first, second = self._access(), self._access()
+        first.dims_used()
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second)
+        assert "row_terms" not in repr(first)
+        assert first != replace(second, is_write=False)
+
+    def test_pickle_round_trip_keeps_value_and_terms(self):
+        access = self._access()
+        restored = pickle.loads(pickle.dumps(access))
+        assert restored == access and hash(restored) == hash(access)
+        assert restored.row_terms == access.row_terms
+        assert restored.dims_used() == access.dims_used()
